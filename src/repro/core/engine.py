@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+from operator import is_not
 from typing import (
     Dict,
     Iterable,
@@ -68,6 +69,10 @@ class Observer(Protocol):
     ``on_chunk_chain``) are only invoked for observers that actually
     override them — the engine detects overrides at construction, so a
     run without tracing pays nothing for the hook points.
+
+    Outside the protocol, an observer may define ``on_fork(memo)`` to tell
+    :meth:`Engine.fork` which of its fields are history (shared or
+    shallow-copied) rather than live state.
     """
 
     def on_attach(self, engine: "Engine") -> None: ...
@@ -129,7 +134,8 @@ class Engine:
         self._jobs: List[Job] = []
         self._job_ids: set = set()
         self._started_this_pass: List[Job] = []
-        self._outstanding = 0
+        #: completed jobs in completion order (never written again)
+        self._completed: List[Job] = []
         self._result: Optional[SimulationResult] = None
 
         # chunk chains: (parent_id, chunk_index) -> job; chunks beyond the
@@ -214,7 +220,6 @@ class Engine:
                 self.events.push(job.submit_time, EventKind.ARRIVAL, job)
             self._job_ids.add(job.id)
         self._jobs.extend(fresh)
-        self._outstanding += len(fresh)
         return fresh
 
     # -- incremental lifecycle --------------------------------------------------
@@ -284,8 +289,8 @@ class Engine:
         if self._result is not None:
             raise RuntimeError("engine already finished")
         before = self._events_processed
-        events = self.events
-        while self._outstanding and events:
+        events, jobs, done = self.events, self._jobs, self._completed
+        while len(done) < len(jobs) and events:
             nxt = events.peek()
             if nxt is None:
                 break
@@ -302,18 +307,51 @@ class Engine:
         return self._result
 
     def fork(self) -> "Engine":
-        """Deep-copy the live engine — cluster, scheduler, queues, pending
-        events, observers — for warm-started what-if simulation.
+        """Copy the live engine for warm-started what-if simulation.
 
-        The fork shares nothing with the original: draining it answers
-        "what happens to the current backlog under changed settings"
-        without re-simulating completed history, while the live engine
-        keeps running.  Observers must be deep-copyable (file-backed
-        trace sinks are not; in-memory observers are).
+        Draining the fork answers "what happens to the current backlog
+        under changed settings" without re-simulating completed history,
+        while the live engine keeps running.  The cost grows with the live
+        frontier, not with the history:
+
+        * completed jobs are never written again, so the fork shares them
+          with the parent by identity (read-only history);
+        * pending, queued and running jobs, the event heap, the cluster,
+          the scheduler and the observers' frontier state are deep-copied;
+        * append-only per-job maps are copied with C-level shallow copies.
+
+        An observer marks its own history fields through the optional
+        ``on_fork(memo)`` hook, which seeds the ``copy.deepcopy`` memo
+        (``memo[id(field)] = replacement``) before the fork is taken.
         """
         if self._result is not None:
             raise RuntimeError("cannot fork a finished engine")
-        return copy.deepcopy(self)
+        jobs, done = self._jobs, self._completed
+        # completed jobs map to themselves: the fork shares them
+        memo: Dict[int, object] = dict(zip(map(id, done), done))
+        twin_jobs: List[Job] = []
+        memo[id(jobs)] = twin_jobs
+        for history in (done, self._job_ids, self._tail_runtime, self._tail_wcl):
+            memo[id(history)] = history.copy()
+        for obs in self.observers:
+            hook = getattr(obs, "on_fork", None)
+            if hook is not None:
+                hook(memo)
+        twin = copy.deepcopy(self, memo)
+        # the live jobs were copied on the way, through the event heap,
+        # the scheduler's queues and the cluster's running set
+        twin_jobs.extend(map(memo.get, map(id, jobs), jobs))
+        copied = sum(map(is_not, twin_jobs, jobs))
+        if copied != len(jobs) - len(done):
+            raise RuntimeError(
+                f"fork copied {copied} of {len(jobs) - len(done)} live jobs; "
+                "a live job is held outside the engine's structures"
+            )
+        c = _counters.ACTIVE
+        if c is not None:
+            c.hit("engine.fork")
+            c.hit("engine.fork_live_jobs", copied)
+        return twin
 
     # -- services used by schedulers -------------------------------------------
 
@@ -354,7 +392,7 @@ class Engine:
             raise RuntimeError("engine already finished")
         while self.events:
             self._process(self.events.pop())
-            if self._outstanding == 0:
+            if len(self._completed) == len(self._jobs):
                 # every job completed; leftover timer chains (decay ticks,
                 # starvation re-checks) would only spin the clock forward
                 break
@@ -409,6 +447,11 @@ class Engine:
     def jobs(self) -> List[Job]:
         """Every job registered so far (the engine's own copies)."""
         return self._jobs
+
+    @property
+    def jobs_completed(self) -> int:
+        """Jobs completed so far, in O(1)."""
+        return len(self._completed)
 
     @property
     def events_processed(self) -> int:
@@ -478,7 +521,7 @@ class Engine:
     def _handle_completions(self, jobs: List[Job]) -> None:
         for job in jobs:
             self.cluster.finish(job, self.now)
-            self._outstanding -= 1
+            self._completed.append(job)
             self.scheduler.on_completion(job, self.now)
             for obs in self.observers:
                 obs.on_completion(job, self.now)

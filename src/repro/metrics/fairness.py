@@ -219,6 +219,11 @@ class HybridFSTObserver(Observer):
     def on_completion(self, job: Job, now: float) -> None:
         self._occupied.pop(job.id, None)
 
+    def on_fork(self, memo: Dict[int, object]) -> None:
+        # append-only per-job maps of floats: C-level copies, no deepcopy walk
+        memo[id(self.fst)] = dict(self.fst)
+        memo[id(self._durations)] = dict(self._durations)
+
     def _occupation_pairs(self, now: float):
         if self.estimate_mode == "wcl":
             for nodes, wcl_end, tail in self._occupied.values():

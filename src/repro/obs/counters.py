@@ -126,6 +126,8 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("engine.schedule_pass", "one scheduler pass (arrival/completion/timer)"),
     ("engine.wcl_kill", "one job killed by the IF_NEEDED wall-clock rule"),
     ("engine.chunk_resubmit", "one chunk-chain successor submitted"),
+    ("engine.fork", "one warm fork of a live engine"),
+    ("engine.fork_live_jobs", "one live (not completed) job copied by a fork"),
     ("profile.earliest_fit", "one earliest-fit query against a profile"),
     ("profile.reserve", "one validated (slow-path) reserve"),
     ("profile.release", "one validated (slow-path) release"),

@@ -64,6 +64,7 @@ class TraceObserver(Observer):
     def __init__(self, sink: Sink = None, ring: int = DEFAULT_RING,
                  meta: Optional[Dict[str, object]] = None) -> None:
         self._sink_spec = sink
+        self._ring = ring
         self._fh: Optional[IO[str]] = None
         self._owns_fh = False
         self.meta = dict(meta or {})
@@ -99,6 +100,15 @@ class TraceObserver(Observer):
         }
         header.update(self.meta)
         self._emit(header)
+
+    def on_fork(self, memo: Dict[int, object]) -> None:
+        """A fork never writes into this observer's sink: its twin records
+        into an in-memory ring, seeded with this ring's records (emitted
+        records are never mutated, so they are shared)."""
+        twin = TraceObserver(None, ring=self._ring, meta=self.meta)
+        if self.records is not None:
+            twin.records.extend(self.records)
+        memo[id(self)] = twin
 
     def on_arrival(self, job: Job, now: float) -> None:
         self._emit({"t": now, "ev": "arrival", "job": job.id,

@@ -223,17 +223,16 @@ class LiveSimulation:
         """Answer "what if the scheduler ran with these parameters from
         *now* on?" without re-simulating completed history.
 
-        Two deep forks of the live engine are drained to completion: one
+        Two forks of the live engine are drained to completion: one
         untouched (the baseline the live run is heading for) and one with
         ``overrides`` applied to its scheduler.  Both inherit the parent's
-        clock, queues, running jobs, and event count, so only the future
-        is simulated; the live session itself is never perturbed.
+        clock, queues, running jobs, and event count, and share its
+        completed jobs read-only, so only the future is simulated; the
+        live session itself is never perturbed.
         """
         validate_overrides(self.policy, overrides)
         events_before = self.engine.events_processed
-        completed_before = sum(
-            1 for j in self.engine.jobs if j.state is JobState.COMPLETED
-        )
+        completed_before = self.engine.jobs_completed
         baseline = self.engine.fork()
         variant = self.engine.fork()
         self._apply_overrides(variant, overrides)
