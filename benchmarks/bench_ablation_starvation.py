@@ -8,8 +8,8 @@ the wide categories).
 
 import pytest
 
+from repro import api
 from repro.experiments.config import BenchConfig
-from repro.experiments.runner import run_policy
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload
 
 HOUR = 3600.0
@@ -27,9 +27,9 @@ def trace():
 @pytest.fixture(scope="module")
 def sweep(trace):
     return {
-        h: run_policy(
-            trace, "cplant24.nomax.all",
-            scheduler_overrides={"starvation_threshold": h * HOUR},
+        h: api.run(
+            policy="cplant24.nomax.all", workload=trace,
+            options={"overrides": {"starvation_threshold": h * HOUR}},
         )
         for h in THRESHOLDS
     }

@@ -2,7 +2,7 @@
 
 This is the number the performance trajectory tracks (see
 ``docs/PERFORMANCE.md`` and ``tools/bench_trajectory.py``): wall-clock
-time of :func:`repro.experiments.runner.run_policy` — the whole stack the
+time of :func:`repro.api.run` — the whole stack the
 campaign layer multiplies out, i.e. engine + scheduler + reservation
 profile + HybridFST/LOC observers + metric derivation — on a generated
 CPlant-like trace.
@@ -51,14 +51,14 @@ def bench_policy(workload, policy: str, repeat: int = 1,
     counter registry — kept out of the timed runs so the reported seconds
     measure the zero-overhead disabled configuration.
     """
-    from repro.experiments.runner import run_policy
+    from repro import api
 
     best = None
     events = jobs = 0
     digest = ""
     for _ in range(repeat):
         t0 = time.perf_counter()
-        run = run_policy(workload, policy)
+        run = api.run(policy=policy, workload=workload)
         dt = time.perf_counter() - t0
         if best is None or dt < best:
             best = dt
@@ -78,7 +78,7 @@ def bench_policy(workload, policy: str, repeat: int = 1,
         from repro.obs.counters import collect
 
         with collect() as c:
-            counted = run_policy(workload, policy)
+            counted = api.run(policy=policy, workload=workload)
         if counted.result.digest() != digest:
             raise AssertionError(
                 f"{policy}: digest changed with counters enabled"
@@ -89,9 +89,9 @@ def bench_policy(workload, policy: str, repeat: int = 1,
 
 def run_bench(scale: float, seed: int, policies, repeat: int = 1,
               progress: bool = True, counters: bool = False) -> dict:
-    from repro.experiments.config import BenchConfig, bench_workload
+    from repro.workload.generator import GeneratorConfig, generate_cplant_workload
 
-    wl = bench_workload(BenchConfig(scale=scale, seed=seed))
+    wl = generate_cplant_workload(GeneratorConfig(scale=scale), seed=seed)
     report = {
         "bench": "fulltrace",
         "scale": scale,

@@ -1,11 +1,10 @@
 """Simulation throughput per policy: how fast each scheduler chews
 through a fixed trace.  This is the only benchmark family where wall-clock
-time is itself the result (the figure benchmarks time cheap projections of
-a shared suite)."""
+time is itself the result."""
 
 import pytest
 
-from repro.experiments.runner import run_policy
+from repro import api
 from repro.sched.registry import PAPER_POLICIES
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload
 
@@ -20,6 +19,7 @@ def timing_trace():
 @pytest.mark.parametrize("policy", PAPER_POLICIES)
 def test_policy_simulation_speed(benchmark, timing_trace, policy):
     run = benchmark.pedantic(
-        run_policy, args=(timing_trace, policy), rounds=2, iterations=1,
+        api.run, kwargs={"policy": policy, "workload": timing_trace},
+        rounds=2, iterations=1,
     )
     assert run.summary.n_jobs == len(timing_trace)

@@ -3,14 +3,15 @@ Fairness: A Case Study* (Leung, Sabin, Sadayappan; SAND2008-1310 / ICPP).
 
 Quickstart::
 
-    from repro import (
-        generate_cplant_workload, GeneratorConfig, run_policy,
-    )
+    from repro import api
 
-    wl = generate_cplant_workload(GeneratorConfig(scale=0.1), seed=1)
-    run = run_policy(wl, "cplant24.nomax.all")
+    run = api.run(policy="cplant24.nomax.all", scale=0.1, seed=1)
     print(run.summary)
     print(run.fairness)
+
+:mod:`repro.api` is the one way to run simulations (single runs, policy
+comparisons, sweeps, paper builds, live sessions); this package namespace
+re-exports the building blocks.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
@@ -40,15 +41,7 @@ from .campaign import (
     run_campaign,
     run_cell,
 )
-from .experiments import (
-    PolicyRun,
-    RunOptions,
-    bench_workload,
-    run_policy,
-    run_policy_with_options,
-    run_scenario,
-    run_suite,
-)
+from .experiments import PolicyRun, RunOptions
 from .scenarios import (
     Scenario,
     all_scenarios,
@@ -75,7 +68,6 @@ from .sched import (
     BaseScheduler,
     ConservativeScheduler,
     DepthKScheduler,
-    DynamicReservationScheduler,
     EasyBackfillScheduler,
     FairshareTracker,
     NoBackfillScheduler,
@@ -109,7 +101,6 @@ __all__ = [
     "Cluster",
     "ConservativeScheduler",
     "DepthKScheduler",
-    "DynamicReservationScheduler",
     "EasyBackfillScheduler",
     "Engine",
     "FairnessStats",
@@ -137,7 +128,6 @@ __all__ = [
     "WorkloadSpec",
     "aggregate_cells",
     "all_scenarios",
-    "bench_workload",
     "build_scenario",
     "cell_key",
     "consp_fst",
@@ -154,10 +144,6 @@ __all__ = [
     "resource_equality_deficits",
     "run_campaign",
     "run_cell",
-    "run_policy",
-    "run_policy_with_options",
-    "run_scenario",
-    "run_suite",
     "scenario_names",
     "sabin_fst",
     "split_by_runtime_limit",

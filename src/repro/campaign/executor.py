@@ -9,7 +9,7 @@ cells themselves (pure worker + seeded generators), not in scheduling, so
 The worker, :func:`run_cell`, is a pure top-level function: it builds the
 cell's workload (memoized per worker process — one trace typically feeds
 many policy cells) and delegates to the same
-:func:`repro.experiments.runner.run_policy` the serial path uses, then
+:func:`repro.api.run` the serial path uses, then
 flattens the result into the JSON-safe metric record the cache stores.
 
 Because a 10k-cell sweep will meet real failures, the executor is a

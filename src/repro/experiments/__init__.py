@@ -1,16 +1,10 @@
-"""Experiment harness: policy runs, figure/table data generators, reports."""
+"""Experiment harness: policy runs, figure/table data generators, reports.
 
-from .config import BenchConfig, bench_workload
-from .runner import (
-    PolicyRun,
-    RunOptions,
-    cached_suite,
-    clear_suite_cache,
-    run_policy,
-    run_policy_with_options,
-    run_scenario,
-    run_suite,
-)
+Simulations run through :mod:`repro.api`; :mod:`.runner` is its internal
+implementation."""
+
+from .config import BenchConfig
+from .runner import PolicyRun, RunOptions
 from .tables import (
     TableComparison,
     render_table1,
@@ -24,15 +18,8 @@ __all__ = [
     "PolicyRun",
     "RunOptions",
     "TableComparison",
-    "bench_workload",
-    "cached_suite",
-    "clear_suite_cache",
     "render_table1",
     "render_table2",
-    "run_policy",
-    "run_policy_with_options",
-    "run_scenario",
-    "run_suite",
     "table1_job_counts",
     "table2_proc_hours",
 ]

@@ -15,8 +15,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..workload.generator import GeneratorConfig, generate_cplant_workload
-from ..workload.model import Workload
 
 DEFAULT_SCALE = 0.2
 DEFAULT_SEED = 7
@@ -35,11 +33,3 @@ class BenchConfig:
             scale = float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
         seed = int(os.environ.get("REPRO_BENCH_SEED", DEFAULT_SEED))
         return cls(scale=scale, seed=seed)
-
-
-def bench_workload(config: BenchConfig | None = None) -> Workload:
-    """The workload all figure/table benchmarks share."""
-    cfg = config or BenchConfig.from_env()
-    return generate_cplant_workload(
-        GeneratorConfig(scale=cfg.scale), seed=cfg.seed
-    )

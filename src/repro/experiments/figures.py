@@ -2,8 +2,8 @@
 
 Workload-characterization figures (3-7) consume a workload (Figure 3 also
 needs a baseline simulation).  Policy figures (8-19) consume a policy
-suite from :func:`repro.experiments.runner.run_suite` so the expensive
-simulations are shared across figures.
+suite (``repro.api.compare`` output, or the cached records of a paper
+build) so the expensive simulations are shared across figures.
 
 Each ``figNN_*`` function returns plain data (dicts / arrays); each
 ``render_figNN`` turns that into the text the benchmarks print.

@@ -3,8 +3,9 @@ reports.
 
 One :class:`PolicyRun` carries everything Figures 8-19 need for one bar /
 series, so a full policy suite is simulated once and each figure is a cheap
-projection.  Suites are memoized per (workload identity, policy set,
-options) because a dozen benchmarks share them.
+projection.  :func:`run_policy` and :func:`derive_policy_run` are the
+single implementation behind :func:`repro.api.run` / :func:`repro.api.compare`
+and the live service session; callers go through :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -251,8 +252,7 @@ class RunOptions:
         """This option set as :func:`run_policy` keyword arguments.
 
         Values stay hashable (overrides as the canonical tuple of pairs,
-        which ``run_policy`` accepts) so the result can also key memo
-        caches like :func:`cached_suite`.
+        which ``run_policy`` accepts).
         """
         return {
             "estimate_mode": self.estimate_mode,
@@ -262,15 +262,6 @@ class RunOptions:
             "validate": self.validate,
             "reference_orders": self.reference_orders,
         }
-
-
-def run_policy_with_options(
-    workload: Workload,
-    policy_key: str,
-    options: RunOptions,
-) -> PolicyRun:
-    """:func:`run_policy` driven by a canonical :class:`RunOptions`."""
-    return run_policy(workload, policy_key, **options.as_run_kwargs())
 
 
 def _collapse_chunk_fst(
@@ -403,82 +394,3 @@ def derive_policy_run(
         fst=metric_fst,
         fairness_by_order=by_order,
     )
-
-
-def run_suite(
-    workload: Workload,
-    policies: Sequence[str],
-    progress: bool = False,
-    **kwargs,
-) -> Dict[str, PolicyRun]:
-    """Run several policies on the same workload."""
-    out: Dict[str, PolicyRun] = {}
-    for key in policies:
-        if progress:
-            print(f"[repro] simulating {key} on {workload.name} ...", flush=True)
-        out[key] = run_policy(workload, key, **kwargs)
-    return out
-
-
-def run_scenario(
-    scenario: str,
-    policies: Sequence[str] | str,
-    seed: int = 0,
-    params: Optional[Mapping[str, object]] = None,
-    progress: bool = False,
-    **kwargs,
-) -> Dict[str, PolicyRun]:
-    """Build a named scenario's workload and run policies on it.
-
-    The scenario's run-option defaults (e.g. the estimate scenarios set
-    ``estimate_mode="wcl"``) apply unless the caller overrides them; the
-    result is the standard per-policy report, one :class:`PolicyRun` per
-    policy, exactly like :func:`run_suite`.
-    """
-    from ..scenarios import get_scenario  # deferred: scenarios is a leaf pkg
-
-    sc = get_scenario(scenario)
-    wl = sc.build(seed=seed, **dict(params or {}))
-    merged = {**dict(sc.options), **kwargs}
-    keys = [policies] if isinstance(policies, str) else list(policies)
-    return run_suite(wl, keys, progress=progress, **merged)
-
-
-# -- suite memoization --------------------------------------------------------
-
-_SUITE_CACHE: Dict[Tuple, Dict[str, PolicyRun]] = {}
-
-
-def cached_suite(
-    workload: Workload,
-    policies: Sequence[str],
-    cache_key: Optional[str] = None,
-    **kwargs,
-) -> Dict[str, PolicyRun]:
-    """Like :func:`run_suite`, but memoized.
-
-    The cache key is the workload's name (generators encode scale and seed
-    there) unless an explicit ``cache_key`` is given; identical names with
-    different job lists would alias, so generated workloads must carry
-    distinguishing names.
-    """
-    key = (
-        cache_key or workload.name,
-        len(workload),
-        tuple(policies),
-        tuple(sorted(kwargs.items())),
-    )
-    missing = [p for p in policies]
-    if key in _SUITE_CACHE:
-        cached = _SUITE_CACHE[key]
-        missing = [p for p in policies if p not in cached]
-        if not missing:
-            return {p: cached[p] for p in policies}
-    fresh = run_suite(workload, missing, **kwargs)
-    merged = {**_SUITE_CACHE.get(key, {}), **fresh}
-    _SUITE_CACHE[key] = merged
-    return {p: merged[p] for p in policies}
-
-
-def clear_suite_cache() -> None:
-    _SUITE_CACHE.clear()

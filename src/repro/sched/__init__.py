@@ -4,7 +4,6 @@ variants, and the conservative-backfilling family."""
 from .base import PRIORITY_POLICIES, BaseScheduler
 from .conservative import ConservativeScheduler
 from .depthk import DepthKScheduler
-from .dynamic import DynamicReservationScheduler
 from .easy import EasyBackfillScheduler, head_reservation
 from .fairshare import DAY, FairshareTracker
 from .nobackfill import NoBackfillScheduler
@@ -36,7 +35,6 @@ __all__ = [
     "ConservativeScheduler",
     "DAY",
     "DepthKScheduler",
-    "DynamicReservationScheduler",
     "EasyBackfillScheduler",
     "FairSojournScheduler",
     "FairshareTracker",

@@ -7,16 +7,18 @@ queue a reservation."  This scheduler is that whole family:
 * depth 0  — no-guarantee backfilling (no reservations at all),
 * depth 1  — aggressive/EASY backfilling,
 * depth k  — the first k jobs in priority order hold reservations,
-* depth ∞  — conservative backfilling.
+* depth ∞  — conservative backfilling with dynamic reservations (the
+  paper's Section 5.4 variant, registered as ``consdyn.*``).
 
 The implementation builds, at every scheduling event, a fresh reservation
 profile containing the running jobs plus earliest-fit reservations for the
 first ``depth`` queued jobs in priority order; any other job may start
 immediately if it fits the profile (i.e. delays none of those
-reservations).  Reservations are not sticky across events (like the
-paper's dynamic variant), which keeps the family uniform in one mechanism;
-the sticky-reservation end of the spectrum is
-:class:`repro.sched.ConservativeScheduler`.
+reservations).  Reservations are not sticky across events, which keeps
+the family uniform in one mechanism: at depth ∞ nothing is kept and the
+whole schedule is rebuilt in fairshare order at every event, so a job's
+place tracks its user's current standing.  The sticky-reservation end of
+the spectrum is :class:`repro.sched.ConservativeScheduler`.
 """
 
 from __future__ import annotations

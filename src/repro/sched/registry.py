@@ -9,13 +9,13 @@ maximum-runtime split, applied by the experiment runner before simulation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .base import BaseScheduler
 from .conservative import ConservativeScheduler
 from .depthk import DepthKScheduler
-from .dynamic import DynamicReservationScheduler
 from .easy import EasyBackfillScheduler
 from .nobackfill import NoBackfillScheduler
 from .noguarantee import NoGuaranteeScheduler
@@ -56,8 +56,11 @@ def _cons(**fixed) -> Callable[..., BaseScheduler]:
 
 
 def _consdyn(**fixed) -> Callable[..., BaseScheduler]:
+    """Dynamic reservations (Section 5.4): every queued job holds a
+    reservation that is rebuilt from scratch at each event, which is the
+    depth-k family at depth infinity."""
     def factory(**kw) -> BaseScheduler:
-        return DynamicReservationScheduler(**{**fixed, **kw})
+        return DepthKScheduler(depth=math.inf, **{**fixed, **kw})
 
     return factory
 

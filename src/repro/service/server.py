@@ -26,6 +26,9 @@ from .tenancy import TenantError, TenantMux
 #: ops a connection may send before (or without) identifying as a tenant
 _ANONYMOUS_OPS = frozenset({"hello", "status", "metrics", "whatif", "result", "shutdown"})
 
+#: longest request line the server reads (asyncio's stream default)
+LINE_LIMIT = 64 * 1024
+
 
 def _jsonable(obj):
     """json.dumps default hook: numpy scalars -> Python numbers."""
@@ -104,7 +107,19 @@ class SchedulerService:
         tenant: Optional[str] = None
         try:
             while not self._stop.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # the stream cannot resynchronise past an over-long
+                    # line: answer it, then close the connection
+                    resp = _error(
+                        "line-too-long",
+                        f"request line exceeds {LINE_LIMIT} bytes; "
+                        "connection closed",
+                    )
+                    writer.write(json.dumps(resp).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:
@@ -227,7 +242,9 @@ async def serve_async(
         policy=policy, system_size=system_size,
         options=options, max_pending=max_pending,
     )
-    server = await asyncio.start_server(service.handle, host, port)
+    server = await asyncio.start_server(
+        service.handle, host, port, limit=LINE_LIMIT
+    )
     bound = server.sockets[0].getsockname()
     print(f"[repro-serve] listening on {bound[0]}:{bound[1]} "
           f"(policy={policy}, nodes={system_size})", flush=True)

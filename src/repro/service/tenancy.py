@@ -96,8 +96,8 @@ class TenantBuffer:
         #: highest ``at`` promised so far; future submissions must be >= it
         self.watermark = watermark
         self.drained = False
-        #: buffered (at, seq, payload) not yet admitted to the engine
-        self.pending: List[Tuple[float, int, Mapping[str, object]]] = []
+        #: buffered (at, seq, validated job) not yet admitted to the engine
+        self.pending: List[Tuple[float, int, Job]] = []
         self._seq = 0
         self.submitted = 0
 
@@ -156,12 +156,16 @@ class TenantMux:
         return len(self._buffer(name).pending) + n <= self.max_pending
 
     def submit(self, name: str, jobs: Sequence[Mapping[str, object]]) -> int:
-        """Buffer a batch of job payloads for one tenant.
+        """Validate and buffer a batch of job payloads for one tenant.
 
-        Arrival times must be non-decreasing per tenant (that ordering IS
-        the watermark promise).  Capacity is the caller's job: the async
-        layer awaits room *before* calling, so a full buffer here is a
-        protocol violation, not backpressure.
+        The batch is all-or-nothing: every payload is built into a job
+        (:func:`build_job`) and checked — finite times, at most the
+        cluster's width, arrival times non-decreasing per tenant (that
+        ordering IS the watermark promise) — before anything is staged,
+        so a rejected batch leaves the tenant exactly as it was.
+        Capacity is the caller's job: the async layer awaits room
+        *before* calling, so a full buffer here is a protocol violation,
+        not backpressure.
         """
         buf = self._buffer(name)
         if buf.drained:
@@ -172,26 +176,33 @@ class TenantMux:
                 f"{len(buf.pending)} pending + {len(jobs)} submitted "
                 f"> max_pending={self.max_pending}"
             )
-        staged = []
+        width = self.live.engine.cluster.size
+        built: List[Job] = []
         mark = buf.watermark
-        for payload in jobs:
-            try:
-                at = float(payload["at"])
-            except (KeyError, TypeError, ValueError):
+        for i, payload in enumerate(jobs):
+            if not isinstance(payload, Mapping):
+                raise TenantError(f"job {i}: payload must be an object")
+            # the id is provisional; drive() numbers jobs at admission
+            job = build_job(i, payload, buf.user_id)
+            if not all(map(math.isfinite, (job.submit_time, job.runtime, job.wcl))):
                 raise TenantError(
-                    "every job payload needs a numeric 'at' arrival time"
-                ) from None
-            if at < mark:
+                    f"job {i}: at, runtime and wcl must be finite numbers"
+                )
+            if job.nodes > width:
+                raise TenantError(
+                    f"job {i}: {job.nodes} nodes exceed the cluster's {width}"
+                )
+            if job.submit_time < mark:
                 raise TenantError(
                     f"tenant {name!r} arrival times must be non-decreasing: "
-                    f"got at={at} after watermark {mark}"
+                    f"got at={job.submit_time} after watermark {mark}"
                 )
-            mark = at
-            staged.append((at, buf.next_seq(), payload))
-        buf.pending.extend(staged)
+            mark = job.submit_time
+            built.append(job)
+        buf.pending.extend((job.submit_time, buf.next_seq(), job) for job in built)
         buf.watermark = mark
-        buf.submitted += len(staged)
-        return len(staged)
+        buf.submitted += len(built)
+        return len(built)
 
     def drain(self, name: str) -> None:
         """Tenant promises no further submissions (watermark -> +inf)."""
@@ -215,20 +226,21 @@ class TenantMux:
         frontier.  Idempotent between submissions; safe to call after any
         protocol event."""
         w = self.frontier
-        ready: List[Tuple[float, str, int, Mapping[str, object], int]] = []
+        ready: List[Tuple[float, str, int, Job]] = []
         for buf in self.tenants.values():
             keep = []
-            for at, seq, payload in buf.pending:
+            for at, seq, job in buf.pending:
                 if at < w:
-                    ready.append((at, buf.name, seq, payload, buf.user_id))
+                    ready.append((at, buf.name, seq, job))
                 else:
-                    keep.append((at, seq, payload))
+                    keep.append((at, seq, job))
             buf.pending = keep
         ready.sort(key=lambda item: (item[0], item[1], item[2]))
         jobs = []
-        for at, _name, _seq, payload, uid in ready:
-            jobs.append(build_job(self._next_job_id, payload, uid))
+        for _at, _name, _seq, job in ready:
+            job.id = self._next_job_id
             self._next_job_id += 1
+            jobs.append(job)
         if jobs:
             self.live.submit(jobs)
         self.admitted += len(jobs)

@@ -3,8 +3,7 @@
 The contract under test: a :class:`SimulationRequest` fully determines a
 simulation; :func:`api.run` produces a handle whose metrics are identical
 to the historical direct-runner path; options parse through the single
-:meth:`RunOptions.from_mapping` pipeline with structured errors; and the
-deprecated shims still work but warn.
+:meth:`RunOptions.from_mapping` pipeline with structured errors.
 """
 
 from __future__ import annotations
@@ -200,33 +199,24 @@ def test_structural_observer_runs(small_workload):
     assert handle.digest() == bare.digest()
 
 
-# -- deprecated shims ----------------------------------------------------------
+# -- request options and scenario sources ------------------------------------
 
 
-def test_run_policy_shim_warns_and_matches(small_workload):
-    with pytest.warns(DeprecationWarning, match="run_policy"):
-        old = api.run_policy(small_workload, "easy.fairshare")
-    new = api.run(policy="easy.fairshare", workload=small_workload)
-    assert old.result.digest() == new.digest()
-
-
-def test_run_policy_with_options_shim_warns(small_workload):
+def test_run_options_match_direct_runner_kwargs(small_workload):
     opts = RunOptions(epsilon=2.0)
-    with pytest.warns(DeprecationWarning, match="run_policy_with_options"):
-        old = api.run_policy_with_options(small_workload, "easy.fairshare", opts)
-    new = api.run(policy="easy.fairshare", workload=small_workload, options=opts)
-    assert old.result.digest() == new.digest()
+    handle = api.run(policy="easy.fairshare", workload=small_workload,
+                     options=opts)
+    direct = run_policy(small_workload, "easy.fairshare",
+                        **opts.as_run_kwargs())
+    assert handle.digest() == direct.result.digest()
+    assert handle.fairness == direct.fairness
 
 
-def test_run_suite_shim_warns(small_workload):
-    with pytest.warns(DeprecationWarning, match="run_suite"):
-        old = api.run_suite(small_workload, ["fcfs.nobackfill"])
-    assert set(old) == {"fcfs.nobackfill"}
-
-
-def test_run_scenario_shim_warns():
-    with pytest.warns(DeprecationWarning, match="run_scenario"):
-        old = api.run_scenario("cplant-baseline", ["fcfs.nobackfill"], seed=3)
-    new = api.compare(["fcfs.nobackfill"], scenario="cplant-baseline", seed=3)
-    assert (old["fcfs.nobackfill"].result.digest()
-            == new["fcfs.nobackfill"].digest())
+def test_compare_on_a_scenario_matches_its_built_workload():
+    """``compare(..., scenario=)`` builds the scenario once, with its
+    run-option defaults, exactly like running on the built workload."""
+    out = api.compare(["fcfs.nobackfill"], scenario="cplant-baseline", seed=3)
+    sc = api.get_scenario("cplant-baseline")
+    solo = api.run(policy="fcfs.nobackfill", workload=sc.build(seed=3),
+                   options=dict(sc.options))
+    assert out["fcfs.nobackfill"].digest() == solo.digest()

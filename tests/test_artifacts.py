@@ -1,6 +1,6 @@
 """Paper-artifact pipeline: registry completeness, cell dedup, the
-incremental build, manifest determinism (in- and cross-process), the
-CLI surface, and the standalone benchmark shims."""
+incremental build, manifest determinism (in- and cross-process), and the
+CLI surface."""
 
 from __future__ import annotations
 
@@ -269,47 +269,6 @@ class TestCrossProcessDeterminism:
         assert manifests[0] == manifests[1]
 
 
-class TestShims:
-    def test_bench_scripts_are_thin_registrations(self):
-        bench = REPO_ROOT / "benchmarks"
-        for art in all_artifacts():
-            matches = list(bench.glob(f"bench_{art.id}_*.py"))
-            if art.id.startswith("table"):
-                matches += list(bench.glob(f"bench_{art.id}*.py"))
-            assert matches, f"no benchmark shim for {art.id}"
-            text = matches[0].read_text()
-            assert f'bench_shim("{art.id}")' in text
-            assert f'main_shim("{art.id}")' in text
-
-    def test_direct_invocation_still_works(self, tmp_path):
-        """`python benchmarks/bench_fig08_....py` must keep working."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "benchmarks" / "bench_fig08_percent_unfair_minor.py"),
-                "--scale",
-                "0.02",
-                "--seed",
-                "3",
-                "--out-dir",
-                str(tmp_path),
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--no-check",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert "Figure 8" in proc.stdout
-        assert (tmp_path / get_artifact("fig08").output).is_file()
-
-
 class TestPaperCLI:
     def test_subcommands_present(self):
         from repro.cli import build_parser
@@ -352,6 +311,42 @@ class TestPaperCLI:
         victim.write_text(victim.read_text() + "x\n")
         assert main(["paper", "diff", "--out-dir", str(tmp_path / "out")]) == 1
         assert "fig04" in capsys.readouterr().out
+
+    def test_single_artifact_checked_build(self, tmp_path):
+        """`repro paper build --only ID --check` is the standalone way to
+        build and check one figure (a fresh interpreter, as a user runs it)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "paper",
+                "build",
+                "--only",
+                "fig08",
+                "--check",
+                "--scale",
+                "0.02",
+                "--seed",
+                "3",
+                "--out-dir",
+                str(tmp_path),
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--quiet",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert "paper build: 1 artifacts" in proc.stdout
+        out = tmp_path / get_artifact("fig08").output
+        assert out.read_text().startswith("Figure 8")
 
     def test_build_rejects_unknown_artifact(self, tmp_path, capsys):
         rc = main(

@@ -258,6 +258,32 @@ def test_malformed_payloads_are_tenant_errors():
     assert (job.id, job.user_id, job.wcl) == (3, 9, 1.0)  # wcl defaults to runtime
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"at": 2.0, "nodes": 5000, "runtime": 10.0}, "exceed the cluster"),
+    ({"at": 2.0, "nodes": "abc", "runtime": 10.0}, "malformed"),
+    ({"at": "nan", "nodes": 2, "runtime": 10.0}, "finite"),
+    ({"at": 2.0, "nodes": 2, "runtime": "inf"}, "finite"),
+    (7, "must be an object"),
+])
+def test_submit_rejects_the_whole_batch_up_front(bad, match):
+    """A bad payload fails ``submit`` itself, and nothing of its batch —
+    not even the valid job ahead of it — is staged or lost."""
+    live = LiveSimulation("easy.fairshare", system_size=64)
+    mux = TenantMux(live)
+    mux.register("x")
+    good = {"at": 1.0, "nodes": 2, "runtime": 10.0}
+    with pytest.raises(TenantError, match=match):
+        mux.submit("x", [good, bad])
+    tenant = mux.status()["tenants"]["x"]
+    assert (tenant["submitted"], tenant["pending"]) == (0, 0)
+    assert tenant["watermark"] == 0.0
+    # the tenant is unharmed: the valid job alone goes through and runs
+    assert mux.submit("x", [good]) == 1
+    mux.drain("x")
+    assert mux.drive()["admitted"] == 1
+    assert live.finish().summary.n_jobs == 1
+
+
 # -- the TCP server ------------------------------------------------------------
 
 
@@ -331,6 +357,30 @@ def test_server_protocol_errors(trace):
             await c.shutdown()
         await task
     asyncio.run(scenario())
+
+
+def test_server_answers_an_oversize_line_then_closes():
+    async def scenario():
+        task, info = await _start_server(policy="easy.fairshare",
+                                         system_size=64)
+        h, p = info["host"], info["port"]
+        reader, writer = await asyncio.open_connection(h, p)
+        line = json.dumps({"op": "hello", "tenant": "x" * 70_000})
+        writer.write(line.encode() + b"\n")
+        await writer.drain()
+        reply = json.loads(await reader.readline())
+        assert await reader.readline() == b""  # the server hung up
+        writer.close()
+        # the server itself survives for everyone else
+        async with await ServiceClient.connect(h, p) as c:
+            assert (await c.status())["tenants"] == {}
+            await c.shutdown()
+        await task
+        return reply
+
+    reply = asyncio.run(scenario())
+    assert reply["ok"] is False
+    assert reply["error"]["code"] == "line-too-long"
 
 
 def test_server_metrics_and_whatif_over_the_wire(trace):
