@@ -12,6 +12,7 @@ replay should be near-instant regardless of core count.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -29,6 +30,23 @@ SPEC = CampaignSpec.from_dict({
 })
 
 
+def _two_process_speedup(n: int = 20_000_000) -> float:
+    """Measured speedup of two CPU-bound tasks on a two-process pool over
+    running them back to back: near 2 where the host really runs two
+    processes at once, near 1 where it only time-slices them (a CPU count
+    or affinity mask can report 2 either way)."""
+    work = [range(n)] * 2
+    with multiprocessing.Pool(2) as pool:
+        pool.map(sum, [range(1)] * 2)  # workers up before the clock starts
+        t0 = time.perf_counter()
+        pool.map(sum, work, chunksize=1)
+        t_pool = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for r in work:
+        sum(r)
+    return (time.perf_counter() - t0) / t_pool
+
+
 def _timed(**kwargs):
     t0 = time.perf_counter()
     result = run_campaign(SPEC, **kwargs)
@@ -37,7 +55,11 @@ def _timed(**kwargs):
 
 def test_parallel_speedup_and_cache_replay(tmp_path, emit):
     serial, t_serial = _timed(jobs=1, cache=None)
+    # probes bracket the pool run: the host's concurrency can change
+    # from one second to the next when it is shared
+    probe_before = _two_process_speedup()
     parallel, t_parallel = _timed(jobs=JOBS, cache=None)
+    probe = min(probe_before, _two_process_speedup())
     cache = CampaignCache(tmp_path / "cache")
     _timed(jobs=JOBS, cache=cache)          # populate
     replay, t_replay = _timed(jobs=JOBS, cache=cache)
@@ -54,6 +76,7 @@ def test_parallel_speedup_and_cache_replay(tmp_path, emit):
             f"speedup x{speedup:.2f} (ideal x{min(JOBS, cores)})",
             f"  warm cache replay  : {t_replay:8.2f} s   "
             f"({replay.n_cached}/{replay.n_cells} cells from cache)",
+            f"  two-process probe  : x{probe:.2f}",
         ]),
     )
 
@@ -63,7 +86,8 @@ def test_parallel_speedup_and_cache_replay(tmp_path, emit):
     assert docs[0] == docs[1] == docs[2]
     assert replay.n_cached == replay.n_cells
 
-    if cores >= 2:
-        # loose floor: half the ideal speedup still clears it comfortably
+    if probe >= 1.6:
+        # the host runs two processes at once; loose floor: half the
+        # ideal speedup still clears it comfortably
         assert speedup > 1.3
     assert t_replay < t_serial

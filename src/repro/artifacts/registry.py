@@ -1,4 +1,5 @@
-"""The paper-artifact registry: Figures 3-19 and Tables 1-2.
+"""The paper-artifact registry: Figures 3-19, Tables 1-2 and the
+policy x reference-order fairness matrix.
 
 Every artifact of the source paper is registered here as one
 :class:`~repro.artifacts.spec.Artifact` — its required simulation cells
@@ -13,17 +14,12 @@ builds and checks a single artifact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..experiments import figures as F
 from ..experiments import tables as T
-from ..experiments.matrix import (
-    MATRIX_REFERENCE_ORDERS,
-    matrix_from_suite,
-    render_matrix_rows,
-)
 from ..experiments.runner import RunOptions
 from ..sched.registry import (
     CONSERVATIVE_POLICIES,
@@ -526,6 +522,70 @@ register(
 
 
 # -- the fairness matrix: policy x reference order (extension) -----------------
+#
+# The paper judges its nine policies under one definition of "fair" (the
+# fairshare reference order).  The matrix crosses a policy frontier — the
+# paper baseline, the classic FCFS/EASY reference points and the size-based
+# extension policies — with every built-in hybrid-FST reference order:
+# *which policy is fair under whose definition of fair*.  Reference orders
+# are observers, not schedulers, so one simulation per policy records every
+# order's FST series (``RunOptions.reference_orders``).
+
+#: the reference orders of the matrix (all built-ins, in column order)
+MATRIX_REFERENCE_ORDERS: Tuple[str, ...] = ("fairshare", "fcfs", "shortest-first")
+
+
+def _fairness_block(stats: object) -> Dict[str, float]:
+    """Normalize a fairness block: FairnessStats or its as_dict() form."""
+    as_dict = getattr(stats, "as_dict", None)
+    return dict(as_dict()) if callable(as_dict) else dict(stats)
+
+
+def matrix_from_suite(
+    suite: Mapping[str, object],
+    reference_orders: Sequence[str],
+) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """policy -> order -> fairness block, from run-like suite objects
+    (``PolicyRun`` or ``RecordRun``) that carry ``fairness_by_order``."""
+    out: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for policy, run in suite.items():
+        rows = run.fairness_by_order
+        if not rows:
+            raise ValueError(
+                f"run for {policy!r} has no fairness_by_order block; "
+                f"simulate with RunOptions(reference_orders=...)"
+            )
+        out[policy] = {o: _fairness_block(rows[o]) for o in reference_orders}
+    return out
+
+
+def _cell_text(block: Mapping[str, float]) -> str:
+    pct = 100.0 * float(block["percent_unfair"])
+    hours = float(block["average_miss_time"]) / 3600.0
+    return f"{pct:5.1f}% {hours:8.2f}h"
+
+
+def render_matrix_rows(
+    rows: Mapping[str, Mapping[str, Mapping[str, float]]],
+    reference_orders: Sequence[str],
+    policies: Optional[Sequence[str]] = None,
+) -> List[str]:
+    """The policy-rows block of the matrix table."""
+    keys = list(policies) if policies is not None else sorted(rows)
+    width = max(len("policy"), *(len(k) for k in keys))
+    col = max(
+        len(_cell_text({"percent_unfair": 0, "average_miss_time": 0})),
+        *(len(o) for o in reference_orders),
+    )
+    head = " | ".join(
+        [f"{'policy':<{width}}"] + [f"{o:>{col}}" for o in reference_orders]
+    )
+    rule = "-+-".join(["-" * width] + ["-" * col] * len(reference_orders))
+    out = [head, rule]
+    for key in keys:
+        cells = [f"{_cell_text(rows[key][o]):>{col}}" for o in reference_orders]
+        out.append(" | ".join([f"{key:<{width}}"] + cells))
+    return out
 
 
 def _matrix_data(inp: ArtifactInputs):

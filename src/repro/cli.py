@@ -5,16 +5,15 @@ Subcommands::
     repro-sched generate  --scale 0.2 --seed 7 --out trace.swf
     repro-sched run       --policy cplant24.nomax.all [--swf trace.swf | --scale 0.1]
     repro-sched compare   --policies cplant24.nomax.all,cons.72max --scale 0.1
-    repro-sched figures   --scale 0.1          # print every paper figure
-    repro-sched tables    --scale 1.0          # print Tables 1-2
+    repro-sched compare   --scale 0.1 --json suite.json --csv suite.csv
     repro-sched sweep     campaign.json --jobs 4   # parallel cached sweep
     repro-sched sweep     campaign.json --resume   # continue an interrupted run
     repro-sched cache     verify|prune             # audit/repair the cell cache
     repro-sched paper build --scale 0.05 --jobs 4  # build every paper artifact
     repro-sched paper build --only fig08,table1
+    repro-sched paper build --only matrix       # policy x reference-order fairness
     repro-sched paper list                      # the artifact registry
     repro-sched paper diff --against other/manifest.json
-    repro-sched matrix    --scale 0.02          # policy x reference-order fairness
     repro-sched policies                        # list known policies
     repro-sched trace run --policy cons.nomax --out run.jsonl
     repro-sched trace summarize run.jsonl       # per-policy decision summary
@@ -44,7 +43,7 @@ from .campaign import (
     aggregate_rows,
     default_journal_dir,
 )
-from .experiments import figures as F
+from .campaign.executor import ProgressFn
 from .experiments.export import (
     export_campaign_csv,
     export_campaign_json,
@@ -56,12 +55,6 @@ from . import api
 from .obs import collect_counters, render_counters, setup_logging
 from .obs.stats import ProgressMeter
 from .workload.analysis import render_analysis
-from .experiments.tables import (
-    render_table1,
-    render_table2,
-    table1_job_counts,
-    table2_proc_hours,
-)
 from .sched.registry import PAPER_POLICIES, REGISTRY
 from .workload.generator import GeneratorConfig, generate_cplant_workload
 from .workload.model import Workload
@@ -151,57 +144,6 @@ def cmd_compare(args) -> int:
             f"{r.average_miss_time:>12,.0f}{r.average_turnaround:>12,.0f}"
             f"{100 * r.loss_of_capacity:>7.2f}%{100 * r.summary.utilization:>7.1f}%"
         )
-    return 0
-
-
-def cmd_figures(args) -> int:
-    wl = _load_workload(args)
-    print(wl.describe())
-    suite = api.compare(PAPER_POLICIES, workload=wl, progress=True)
-    baseline = suite["cplant24.nomax.all"]
-    sections = [
-        F.render_fig03(F.fig03_weekly_load(baseline, wl)),
-        F.render_fig04(F.fig04_runtime_vs_nodes(wl)),
-        F.render_fig05(F.fig05_estimates(wl)),
-        F.render_fig06(F.fig06_overestimation_vs_runtime(wl)),
-        F.render_fig07(F.fig07_overestimation_vs_nodes(wl)),
-        F.render_fig08(F.fig08_percent_unfair_minor(suite)),
-        F.render_fig09(F.fig09_miss_time_minor(suite)),
-        F.render_fig10(F.fig10_miss_by_width_minor(suite)),
-        F.render_fig11(F.fig11_turnaround_minor(suite)),
-        F.render_fig12(F.fig12_turnaround_by_width_minor(suite)),
-        F.render_fig13(F.fig13_loc_minor(suite)),
-        F.render_fig14(F.fig14_percent_unfair_all(suite)),
-        F.render_fig15(F.fig15_miss_time_all(suite)),
-        F.render_fig16(F.fig16_miss_by_width_cons(suite)),
-        F.render_fig17(F.fig17_turnaround_all(suite)),
-        F.render_fig18(F.fig18_turnaround_by_width_cons(suite)),
-        F.render_fig19(F.fig19_loc_all(suite)),
-    ]
-    print("\n\n".join(sections))
-    return 0
-
-
-def cmd_tables(args) -> int:
-    wl = _load_workload(args)
-    print(wl.describe())
-    print(render_table1(table1_job_counts(wl)))
-    print()
-    print(render_table2(table2_proc_hours(wl)))
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    wl = _load_workload(args)
-    print(render_analysis(wl))
-    return 0
-
-
-def cmd_export(args) -> int:
-    wl = _load_workload(args)
-    print(wl.describe())
-    keys = args.policies.split(",") if args.policies else list(PAPER_POLICIES)
-    suite = api.compare(keys, workload=wl, progress=True)
     wrote = []
     if args.json:
         export_suite_json(suite, args.json)
@@ -214,12 +156,32 @@ def cmd_export(args) -> int:
             path = f"{args.per_job}.{key}.csv"
             export_per_job_csv(run, path)
             wrote.append(path)
-    if not wrote:
-        print("nothing to write: pass --json, --csv, and/or --per-job")
-        return 1
     for path in wrote:
         print(f"wrote {path}")
     return 0
+
+
+def cmd_analyze(args) -> int:
+    wl = _load_workload(args)
+    print(render_analysis(wl))
+    return 0
+
+
+def _progress(prefix: str, quiet: bool) -> Optional[ProgressFn]:
+    """Per-cell progress printer for campaign runs (none when quiet)."""
+    if quiet:
+        return None
+    # built before the run so the first cell's time counts toward the
+    # rate; the cell count is only known once cells complete
+    meter = ProgressMeter(0)
+
+    def progress(done, total, cell, source, elapsed):
+        meter.total = total
+        tag = {"cache": "cache", "journal": "jrnl "}.get(source, "run  ")
+        print(f"[{prefix}] {done:>4}/{total} {tag} {cell.label()} "
+              f"— {meter.note(done)}", flush=True)
+
+    return progress
 
 
 def _retry_policy(args) -> "RetryPolicy":
@@ -241,22 +203,12 @@ def _add_robustness_args(p: argparse.ArgumentParser) -> None:
 def cmd_sweep(args) -> int:
     spec = CampaignSpec.from_json(args.spec)
     cache = None if args.no_cache else CampaignCache(args.cache_dir)
-    meter: List[ProgressMeter] = []
-
-    def progress(done, total, cell, source, elapsed):
-        if not args.quiet:
-            if not meter:
-                meter.append(ProgressMeter(total))
-            tag = {"cache": "cache", "journal": "jrnl "}.get(source, "run  ")
-            print(f"[sweep] {done:>4}/{total} {tag} {cell.label()} "
-                  f"— {meter[0].note(done)}", flush=True)
-
     result = api.sweep(
         spec,
         jobs=args.jobs,
         cache=cache,
         force=args.force,
-        progress=progress,
+        progress=_progress("sweep", args.quiet),
         retry=_retry_policy(args),
         keep_going=args.keep_going,
         resume=args.resume,
@@ -334,59 +286,6 @@ def cmd_cache_prune(args) -> int:
           f"entr{'y' if audit.n_corrupt == 1 else 'ies'}, reaped "
           f"{audit.n_tmp} tmp orphan(s) "
           f"({audit.n_ok} of {audit.n_entries} entries ok)")
-    return 0
-
-
-def cmd_matrix(args) -> int:
-    from .experiments.matrix import MatrixConfig, run_matrix
-
-    try:
-        cfg = MatrixConfig(
-            policies=tuple(args.policies.split(","))
-            if args.policies else MatrixConfig.policies,
-            reference_orders=tuple(args.orders.split(","))
-            if args.orders else MatrixConfig.reference_orders,
-            scenarios=tuple(args.scenarios.split(","))
-            if args.scenarios else MatrixConfig.scenarios,
-            scale=args.scale,
-            seed=args.seed,
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    cache = None if args.no_cache else CampaignCache(args.cache_dir)
-    meter: List[ProgressMeter] = []
-
-    def progress(done, total, cell, source, elapsed):
-        if not args.quiet:
-            if not meter:
-                meter.append(ProgressMeter(total))
-            tag = "cache" if source == "cache" else "run  "
-            print(f"[matrix] {done:>3}/{total} {tag} {cell.label()} "
-                  f"— {meter[0].note(done)}", flush=True)
-
-    result = run_matrix(
-        cfg, jobs=args.jobs, cache=cache, force=args.force, progress=progress,
-    )
-    text = result.render()
-    print(text)
-    print(
-        f"\nmatrix: {len(result.results)} cells "
-        f"({result.n_simulated} simulated, {result.n_cached} cached) "
-        f"— {len(cfg.policies)} policies x {len(cfg.reference_orders)} "
-        f"orders x {len(cfg.scenarios)} scenarios"
-    )
-    wrote = []
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        wrote.append(args.out)
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(result.doc(), indent=2, sort_keys=True) + "\n"
-        )
-        wrote.append(args.json)
-    for path in wrote:
-        print(f"wrote {path}")
     return 0
 
 
@@ -469,17 +368,6 @@ def cmd_paper_build(args) -> int:
     only = args.only.split(",") if args.only else None
     cache = None if args.no_cache else CampaignCache(args.cache_dir)
     config = A.PaperConfig(scale=args.scale, seed=args.seed)
-
-    meter: List[ProgressMeter] = []
-
-    def progress(done, total, cell, source, elapsed):
-        if not args.quiet:
-            if not meter:
-                meter.append(ProgressMeter(total))
-            tag = {"cache": "cache", "journal": "jrnl "}.get(source, "run  ")
-            print(f"[paper] {done:>3}/{total} {tag} {cell.label()} "
-                  f"— {meter[0].note(done)}", flush=True)
-
     try:
         result = api.build_artifacts(
             only=only,
@@ -489,7 +377,7 @@ def cmd_paper_build(args) -> int:
             cache=cache,
             force=args.force,
             check=args.check,
-            progress=progress,
+            progress=_progress("paper", args.quiet),
             retry=_retry_policy(args),
             resume=args.resume,
         )
@@ -619,33 +507,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the summary as JSON instead of text")
     trs.set_defaults(fn=cmd_trace_summarize)
 
-    c = sub.add_parser("compare", help="simulate several policies")
+    c = sub.add_parser(
+        "compare", help="simulate several policies (and export their metrics)",
+    )
     _add_workload_args(c)
     c.add_argument("--policies", default=None,
                    help="comma-separated policy keys (default: the paper's nine)")
+    c.add_argument("--json", default=None, help="suite metrics JSON path")
+    c.add_argument("--csv", default=None, help="suite metrics CSV path")
+    c.add_argument("--per-job", default=None,
+                   help="per-job CSV path prefix (one file per policy)")
     c.set_defaults(fn=cmd_compare)
-
-    f = sub.add_parser("figures", help="print every paper figure")
-    _add_workload_args(f)
-    f.set_defaults(fn=cmd_figures)
-
-    t = sub.add_parser("tables", help="print Tables 1-2")
-    _add_workload_args(t)
-    t.set_defaults(fn=cmd_tables)
 
     a = sub.add_parser("analyze", help="workload characterization summary")
     _add_workload_args(a)
     a.set_defaults(fn=cmd_analyze)
-
-    e = sub.add_parser("export", help="simulate and export metrics")
-    _add_workload_args(e)
-    e.add_argument("--policies", default=None,
-                   help="comma-separated policy keys (default: the nine)")
-    e.add_argument("--json", default=None, help="suite metrics JSON path")
-    e.add_argument("--csv", default=None, help="suite metrics CSV path")
-    e.add_argument("--per-job", default=None,
-                   help="per-job CSV path prefix (one file per policy)")
-    e.set_defaults(fn=cmd_export)
 
     sw = sub.add_parser(
         "sweep",
@@ -700,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser(
         "paper",
-        help="declarative paper-artifact pipeline (figures 3-19, tables 1-2)",
+        help="declarative paper-artifact pipeline (figures 3-19, tables 1-2, "
+             "fairness matrix)",
     )
     ppsub = pp.add_subparsers(dest="paper_command", required=True)
 
@@ -747,38 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--against", default=None,
                     help="second manifest.json to compare against")
     pd.set_defaults(fn=cmd_paper_diff)
-
-    mx = sub.add_parser(
-        "matrix",
-        help="policy x reference-order fairness matrix (cached sweep)",
-    )
-    mx.add_argument("--policies", default=None,
-                    help="comma-separated policy keys "
-                         "(default: the registry's matrix frontier)")
-    mx.add_argument("--orders", default=None,
-                    help="comma-separated hybrid-FST reference orders "
-                         "(default: fairshare,fcfs,shortest-first)")
-    mx.add_argument("--scenarios", default=None,
-                    help="comma-separated scenario names "
-                         "(default: cplant-baseline)")
-    mx.add_argument("--scale", type=float, default=0.05,
-                    help="scenario trace scale")
-    mx.add_argument("--seed", type=int, default=7, help="generator seed")
-    mx.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (1 = run inline, no pool)")
-    mx.add_argument("--cache-dir", default=None,
-                    help="cache root (default ~/.cache/repro-campaign)")
-    mx.add_argument("--no-cache", action="store_true",
-                    help="neither read nor write the on-disk cache")
-    mx.add_argument("--force", action="store_true",
-                    help="ignore cached cells but still refresh them")
-    mx.add_argument("--out", default=None,
-                    help="write the rendered matrix to a text file")
-    mx.add_argument("--json", default=None,
-                    help="write the matrix document as sorted JSON")
-    mx.add_argument("--quiet", action="store_true",
-                    help="suppress per-cell progress lines")
-    mx.set_defaults(fn=cmd_matrix)
 
     sv = sub.add_parser(
         "serve",

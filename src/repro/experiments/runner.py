@@ -139,9 +139,9 @@ class RunOptions:
         that names the offending key.
 
         This is the single option-parsing path: the campaign spec, the
-        fairness matrix, the artifact pipeline, and the service protocol
-        all feed their mappings through here, so every surface rejects the
-        same inputs with the same messages.  ``extra`` keyword pairs merge
+        artifact pipeline and the service protocol all feed their
+        mappings through here, so every surface rejects the same inputs
+        with the same messages.  ``extra`` keyword pairs merge
         over ``mapping`` (caller overrides).
         """
         data: Dict[str, object] = {**dict(mapping or {}), **extra}

@@ -49,6 +49,16 @@ def default_user_id(tenant: str) -> int:
     return zlib.crc32(tenant.encode("utf-8")) & 0x7FFFFFFF
 
 
+def _integral(value: object, name: str) -> int:
+    """An integer job field: a bool or a fractional number is refused
+    rather than truncated into a different job."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_job(job_id: int, payload: Mapping[str, object], user_id: int) -> Job:
     """One wire payload -> one engine job.
 
@@ -64,13 +74,14 @@ def build_job(job_id: int, payload: Mapping[str, object], user_id: int) -> Job:
         )
     try:
         at = float(payload["at"])
-        nodes = int(payload["nodes"])
+        nodes = _integral(payload["nodes"], "nodes")
         runtime = float(payload["runtime"])
+        wcl = float(payload.get("wcl", runtime))
+        user = _integral(payload.get("user", user_id), "user")
     except KeyError as exc:
         raise TenantError(f"job payload missing required field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise TenantError(f"malformed job payload: {exc}") from None
-    wcl = float(payload.get("wcl", runtime))
     try:
         return Job(
             id=job_id,
@@ -78,7 +89,7 @@ def build_job(job_id: int, payload: Mapping[str, object], user_id: int) -> Job:
             nodes=nodes,
             runtime=runtime,
             wcl=wcl,
-            user_id=int(payload.get("user", user_id)),
+            user_id=user,
         )
     except ValueError as exc:
         raise TenantError(str(exc)) from None

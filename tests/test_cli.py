@@ -10,9 +10,8 @@ class TestParser:
         parser = build_parser()
         sub = {a.dest: a for a in parser._actions}["command"]
         assert set(sub.choices) == {
-            "generate", "run", "compare", "figures", "tables", "policies",
-            "analyze", "export", "sweep", "scenarios", "paper", "trace",
-            "matrix", "cache", "serve",
+            "generate", "run", "compare", "policies", "analyze", "sweep",
+            "scenarios", "paper", "trace", "cache", "serve",
         }
 
     def test_run_rejects_unknown_policy(self):
@@ -35,31 +34,20 @@ class TestCommands:
 
     def test_matrix_writes_text_and_json(self, tmp_path, capsys):
         argv = [
-            "matrix", "--policies", "fcfs.nobackfill,rr.user",
-            "--orders", "fairshare,fcfs", "--scale", "0.01", "--seed", "3",
-            "--no-cache", "--quiet",
-            "--out", str(tmp_path / "matrix.txt"),
-            "--json", str(tmp_path / "matrix.json"),
+            "paper", "build", "--only", "matrix", "--scale", "0.01",
+            "--seed", "3", "--no-cache", "--quiet",
+            "--out-dir", str(tmp_path),
         ]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "policy x reference-order fairness matrix" in out
-        assert "2 policies x 2 orders x 1 scenarios" in out
-        text = (tmp_path / "matrix.txt").read_text()
+        assert "paper build: 1 artifacts, 8 cells" in capsys.readouterr().out
+        text = (tmp_path / "matrix_policy_fairness.txt").read_text()
+        assert "policy x hybrid-FST reference order" in text
         assert "rr.user" in text
         import json as _json
 
-        doc = _json.loads((tmp_path / "matrix.json").read_text())
-        assert doc["config"]["policies"] == ["fcfs.nobackfill", "rr.user"]
-        assert "cplant-baseline" in doc["matrix"]
-
-    def test_matrix_rejects_unknown_axis_values(self, capsys):
-        assert main(["matrix", "--orders", "bogus", "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown reference order" in err
-        assert main(["matrix", "--policies", "nope", "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown policy" in err
+        doc = _json.loads((tmp_path / "manifest.json").read_text())
+        assert set(doc["artifacts"]) == {"matrix"}
+        assert doc["config"] == {"scale": 0.01, "seed": 3}
 
     def test_generate_writes_swf(self, tmp_path, capsys):
         out = tmp_path / "t.swf"
@@ -92,11 +80,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cons.nomax" in out
 
-    def test_tables(self, capsys):
-        rc = main(["tables", "--scale", "0.02", "--seed", "1"])
+    def test_tables(self, tmp_path, capsys):
+        rc = main(["paper", "build", "--only", "table1,table2",
+                   "--scale", "0.02", "--seed", "1", "--no-cache",
+                   "--quiet", "--out-dir", str(tmp_path)])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out and "Table 2" in out
+        assert "paper build: 2 artifacts, 0 cells" in capsys.readouterr().out
+        assert (tmp_path / "table1_job_counts.txt").read_text() \
+            .startswith("Table 1")
+        assert (tmp_path / "table2_proc_hours.txt").read_text() \
+            .startswith("Table 2")
 
 
 class TestScenariosCommands:

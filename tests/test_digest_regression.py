@@ -192,7 +192,8 @@ def test_digests_stable_across_processes():
     """Same policy + workload must digest identically in a fresh
     interpreter: no set/dict iteration order, hash randomization, or
     module-level state may leak into a schedule (the property the
-    campaign cache and the CI matrix-smoke job rely on)."""
+    campaign cache and the byte-identical paper-build manifest rely
+    on)."""
     wl = random_workload(120, system_size=32, seed=42, load=0.9)
     here = {
         p: run_policy(wl, p).result.digest() for p in CROSS_PROCESS_POLICIES

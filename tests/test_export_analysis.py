@@ -68,19 +68,20 @@ class TestExport:
 
     def test_cli_export(self, tmp_path, capsys):
         rc = main([
-            "export", "--scale", "0.02", "--seed", "1",
+            "compare", "--scale", "0.02", "--seed", "1",
             "--policies", "cplant24.nomax.all",
             "--json", str(tmp_path / "s.json"),
             "--csv", str(tmp_path / "s.csv"),
+            "--per-job", str(tmp_path / "jobs"),
         ])
         assert rc == 0
-        assert (tmp_path / "s.json").exists()
-        assert (tmp_path / "s.csv").exists()
-
-    def test_cli_export_requires_target(self, capsys):
-        rc = main(["export", "--scale", "0.02", "--seed", "1",
-                   "--policies", "cplant24.nomax.all"])
-        assert rc == 1
+        out = capsys.readouterr().out
+        assert "%unfair" in out  # the comparison table still prints
+        assert json.loads((tmp_path / "s.json").read_text())
+        assert (tmp_path / "s.csv").read_text().startswith("policy,")
+        assert (tmp_path / "jobs.cplant24.nomax.all.csv").exists()
+        for name in ("s.json", "s.csv", "jobs.cplant24.nomax.all.csv"):
+            assert f"wrote {tmp_path / name}" in out
 
 
 class TestAnalysis:

@@ -1,8 +1,8 @@
-"""The policy x reference-order fairness matrix and its registry plumbing."""
+"""The policy x reference-order fairness matrix: the reference-order
+registry, the ``matrix`` paper artifact and its rendering helpers."""
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -11,14 +11,14 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.experiments.matrix import (
+from repro.artifacts import PaperConfig, build_artifacts, get_artifact
+from repro.artifacts.registry import (
     MATRIX_REFERENCE_ORDERS,
-    MatrixConfig,
     matrix_from_suite,
-    render_matrix,
-    run_matrix,
+    render_matrix_rows,
 )
 from repro.campaign.cache import CampaignCache
+from repro.experiments.runner import RunOptions
 from repro.metrics.fairness import (
     ReferenceOrder,
     get_reference_order,
@@ -29,12 +29,22 @@ from repro.sched.registry import MATRIX_POLICIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: tiny but non-degenerate sweep for the executor round-trip tests
-TINY = MatrixConfig(
-    policies=("fcfs.nobackfill", "easy.fcfs", "rr.user"),
-    scale=0.01,
-    seed=3,
-)
+#: tiny but non-degenerate trace for the build round-trip tests
+TINY = PaperConfig(scale=0.01, seed=3)
+
+
+def _build(out_dir, cache=None):
+    return build_artifacts(
+        only=["matrix"], config=TINY, out_dir=out_dir, cache=cache, check=True
+    )
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """One cold, cached matrix build shared by the read-only assertions."""
+    root = tmp_path_factory.mktemp("matrix")
+    cache = CampaignCache(root / "cache")
+    return root, cache, _build(root / "out", cache)
 
 
 class TestReferenceOrderRegistry:
@@ -62,90 +72,81 @@ class TestReferenceOrderRegistry:
 
 
 class TestMatrixConfig:
+    """The ``matrix`` artifact's cells: the registry frontier, every
+    built-in reference order observed on each."""
+
     def test_defaults_are_the_registry_frontier(self):
-        cfg = MatrixConfig()
-        assert cfg.policies == MATRIX_POLICIES
-        assert cfg.reference_orders == MATRIX_REFERENCE_ORDERS
-
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ValueError, match="at least one policy"):
-            MatrixConfig(policies=())
-        with pytest.raises(ValueError, match="at least one reference order"):
-            MatrixConfig(reference_orders=())
-        with pytest.raises(ValueError, match="at least one scenario"):
-            MatrixConfig(scenarios=())
-
-    def test_unknown_policy_and_order_fail_before_any_simulation(self):
-        with pytest.raises(KeyError, match="unknown policy"):
-            MatrixConfig(policies=("bogus.policy",))
-        with pytest.raises(KeyError, match="unknown reference order"):
-            MatrixConfig(reference_orders=("bogus",))
+        art = get_artifact("matrix")
+        assert art.policies == MATRIX_POLICIES
+        assert art.options.reference_orders == MATRIX_REFERENCE_ORDERS
 
     def test_options_pin_fairshare_first(self):
-        cfg = MatrixConfig(reference_orders=("fcfs", "shortest-first"))
-        assert cfg.options().reference_orders == (
-            "fairshare", "fcfs", "shortest-first"
+        opts = RunOptions.from_mapping(
+            {"reference_orders": ("fcfs", "shortest-first")}
         )
-
-    def test_cells_enumerate_scenario_major(self):
-        cells = TINY.cells()
-        assert len(cells) == len(TINY.policies)
-        assert [c.policy for c in cells] == list(TINY.policies)
+        assert opts.reference_orders == ("fairshare", "fcfs", "shortest-first")
+        # the artifact's options are already in that canonical form, so its
+        # cells share cache keys with any equivalent request
+        assert get_artifact("matrix").options == opts
 
 
 class TestRunMatrix:
-    def test_deterministic_in_process(self):
-        a = run_matrix(TINY)
-        b = run_matrix(TINY)
-        assert a.render() == b.render()
-        assert json.dumps(a.doc(), sort_keys=True) == \
-            json.dumps(b.doc(), sort_keys=True)
+    def test_deterministic_in_process(self, built, tmp_path):
+        _, _, first = built
+        again = _build(tmp_path / "out")
+        assert again.n_simulated == len(MATRIX_POLICIES)
+        assert again.texts == first.texts
+        assert again.manifest_path.read_bytes() == \
+            first.manifest_path.read_bytes()
 
-    def test_cache_round_trip(self, tmp_path):
-        cache = CampaignCache(tmp_path / "cells")
-        first = run_matrix(TINY, cache=cache)
-        assert first.n_simulated == len(TINY.policies)
+    def test_cache_round_trip(self, built, tmp_path):
+        _, cache, first = built
+        assert first.n_simulated == len(MATRIX_POLICIES)
         assert first.n_cached == 0
-        second = run_matrix(TINY, cache=cache)
+        second = _build(tmp_path / "out", cache)
         assert second.n_simulated == 0
-        assert second.n_cached == len(TINY.policies)
-        assert second.render() == first.render()
+        assert second.n_cached == len(MATRIX_POLICIES)
+        assert second.texts == first.texts
 
-    def test_render_shape(self):
-        result = run_matrix(TINY)
-        text = result.render()
-        lines = text.splitlines()
-        assert "scenario: cplant-baseline" in lines
+    def test_render_shape(self, built):
+        _, _, result = built
+        lines = result.texts["matrix"].splitlines()
+        assert lines[0].startswith("Fairness matrix")
         header = next(
             ln for ln in lines if ln.startswith("policy") and " | " in ln
         )
-        for order in TINY.reference_orders:
+        for order in MATRIX_REFERENCE_ORDERS:
             assert order in header
-        for policy in TINY.policies:
+        for policy in MATRIX_POLICIES:
             assert any(ln.startswith(policy) for ln in lines)
 
     def test_fcfs_nobackfill_row_is_exactly_fair_under_fcfs(self):
-        table = run_matrix(TINY).table()
-        block = table["cplant-baseline"]["fcfs.nobackfill"]["fcfs"]
-        assert block["n_unfair"] == 0
+        suite = api.compare(
+            ["fcfs.nobackfill"],
+            workload=TINY.build_workload(),
+            options=get_artifact("matrix").options,
+        )
+        rows = matrix_from_suite(suite, MATRIX_REFERENCE_ORDERS)
+        assert rows["fcfs.nobackfill"]["fcfs"]["n_unfair"] == 0
 
-    def test_deterministic_across_processes(self):
-        here = run_matrix(TINY).render()
+    def test_deterministic_across_processes(self, built, tmp_path):
+        _, _, here = built
         prog = (
-            "from repro.experiments.matrix import MatrixConfig, run_matrix\n"
-            "cfg = MatrixConfig(policies=('fcfs.nobackfill', 'easy.fcfs', "
-            "'rr.user'), scale=0.01, seed=3)\n"
-            "print(run_matrix(cfg).render())\n"
+            "import sys\n"
+            "from repro.artifacts import PaperConfig, build_artifacts\n"
+            "r = build_artifacts(only=['matrix'], config=PaperConfig("
+            "scale=0.01, seed=3), out_dir=sys.argv[1])\n"
+            "sys.stdout.write(r.texts['matrix'])\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         )
         proc = subprocess.run(
-            [sys.executable, "-c", prog], env=env, capture_output=True,
-            text=True, check=True,
+            [sys.executable, "-c", prog, str(tmp_path / "out")], env=env,
+            capture_output=True, text=True, check=True,
         )
-        assert proc.stdout.rstrip("\n") == here
+        assert proc.stdout == here.texts["matrix"]
 
 
 class TestMatrixFromSuite:
@@ -168,5 +169,7 @@ class TestMatrixFromSuite:
             assert set(blocks) == set(orders)
             for block in blocks.values():
                 assert 0.0 <= block["percent_unfair"] <= 1.0
-        text = render_matrix({"small": rows}, orders)
-        assert "scenario: small" in text
+        lines = render_matrix_rows(rows, orders)
+        assert [c.strip() for c in lines[0].split(" | ")[1:]] == list(orders)
+        assert [ln.split(" | ")[0].strip() for ln in lines[2:]] == \
+            sorted(rows)

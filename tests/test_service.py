@@ -263,6 +263,11 @@ def test_malformed_payloads_are_tenant_errors():
     ({"at": 2.0, "nodes": "abc", "runtime": 10.0}, "malformed"),
     ({"at": "nan", "nodes": 2, "runtime": 10.0}, "finite"),
     ({"at": 2.0, "nodes": 2, "runtime": "inf"}, "finite"),
+    ({"at": 2.0, "nodes": 2.7, "runtime": 10.0}, "nodes must be an integer"),
+    ({"at": 2.0, "nodes": True, "runtime": 10.0}, "nodes must be an integer"),
+    ({"at": 2.0, "nodes": 2, "runtime": 10.0, "user": 3.9},
+     "user must be an integer"),
+    ({"at": 2.0, "nodes": 2, "runtime": 10.0, "wcl": "abc"}, "malformed"),
     (7, "must be an object"),
 ])
 def test_submit_rejects_the_whole_batch_up_front(bad, match):

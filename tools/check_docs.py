@@ -177,7 +177,7 @@ def check_scheduler_docs() -> list[str]:
         for name in reference_order_names()
         if f"`{name}`" not in doc
     ]
-    for needle in ("repro policies", "repro matrix"):
+    for needle in ("repro policies", "repro paper build --only matrix"):
         if needle not in doc:
             problems.append(f"docs/SCHEDULERS.md: does not mention `{needle}`")
     return problems
